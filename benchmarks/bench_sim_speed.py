@@ -14,13 +14,6 @@ the optimized backends' contracts:
   ``active`` degenerates to parity.  The ratio assumes the compiled
   cycle kernel (``repro.sim.ckernel``); the pure-numpy fallback sits
   around 3-4x.
-* ``large_n`` band (quarc256 / torus256): sharding one saturated run
-  across ``shard_workers`` processes (:mod:`repro.sim.shard`) keeps
-  the merged summary **byte-identical** to the serial array engine,
-  and -- only on hosts with at least that many cores (``cpu_gate``) --
-  delivers >= 2x wall-clock speedup at 4 shards.  On smaller hosts the
-  workers time-slice the cores and the ratio is meaningless as a
-  floor, so the identity check still runs but the floor is skipped.
 
 Two entry points:
 
@@ -52,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -104,20 +96,6 @@ WORKLOADS: List[Tuple[str, WorkloadSpec, str]] = [
                   cycles=6_000, warmup=1_500, seed=1), "sat"),
 ]
 
-#: (name, spec) -- the ``large_n`` band: 256-node saturated runs timed
-#: serial vs sharded (``compare_sharded``).  Rates sit just past the
-#: knee (``saturated`` must report True at both full and smoke
-#: horizons); the two kinds cover the two partition geometries (quarc
-#: quadrant arcs, torus row bands with wrap cuts).
-LARGE_N_WORKLOADS: List[Tuple[str, WorkloadSpec]] = [
-    ("large_n_quarc256",
-     WorkloadSpec(kind="quarc", n=256, msg_len=16, beta=0.05,
-                  rate=0.003891, cycles=3_000, warmup=600, seed=11)),
-    ("large_n_torus256",
-     WorkloadSpec(kind="torus", n=256, msg_len=16, beta=0.05,
-                  rate=0.006, cycles=3_000, warmup=600, seed=11)),
-]
-
 #: Acceptance floors (full mode); the smoke run uses lenient floors
 #: because CI machines are noisy and the horizons are cut 5x.
 ACTIVE_LOW_LOAD_FLOOR_FULL = 3.0
@@ -128,12 +106,6 @@ ACTIVE_LOW_LOAD_FLOOR_SMOKE = 1.5
 #: host has no C compiler, which CI does).
 ARRAY_SAT_FLOOR_FULL = 5.0
 ARRAY_SAT_FLOOR_SMOKE = 3.0
-#: The sharded-run floor only applies when the host has at least
-#: ``SHARD_WORKERS`` cores (``cpu_gate``); oversubscribed hosts still
-#: run the byte-identity check.
-SHARD_WORKERS = 4
-SHARD_SAT_FLOOR_FULL = 2.0
-SHARD_SAT_FLOOR_SMOKE = 1.2
 
 
 def _smoke_spec(spec: WorkloadSpec) -> WorkloadSpec:
@@ -141,14 +113,13 @@ def _smoke_spec(spec: WorkloadSpec) -> WorkloadSpec:
                    warmup=spec.warmup // 2)
 
 
-def _timed_run(spec: WorkloadSpec, backend: str, repeats: int,
-               shard_workers: int = 1) -> Tuple[float, RunSummary]:
+def _timed_run(spec: WorkloadSpec, backend: str,
+               repeats: int) -> Tuple[float, RunSummary]:
     """Best-of-``repeats`` wall time for one full session run."""
     best = float("inf")
     summary = None
     for _ in range(repeats):
-        session = SimulationSession(RunConfig(
-            spec=spec, backend=backend, shard_workers=shard_workers))
+        session = SimulationSession(RunConfig(spec=spec, backend=backend))
         t0 = time.perf_counter()
         summary = session.run()
         best = min(best, time.perf_counter() - t0)
@@ -209,49 +180,6 @@ def compare_backends(spec: WorkloadSpec, repeats: int = 2,
         result[f"speedup_{name}"] = round(s_agg["mean"], 2)
         result[f"speedup_{name}_sd"] = round(s_agg["stddev"], 2)
     return result
-
-
-def compare_sharded(spec: WorkloadSpec, shards: int = SHARD_WORKERS,
-                    repeats: int = 2, replicates: int = 1) -> Dict:
-    """Time the serial array engine against the same single run sharded
-    ``shards`` ways (one process per spatial domain, shared-memory halo
-    exchange; :mod:`repro.sim.shard`).
-
-    The merged summary must be byte-identical to the serial one **per
-    seed** -- that check is unconditional.  The reported
-    ``speedup_shard`` is only meaningful as a floor when the host
-    actually has ``shards`` cores (``cpu_gate``): on smaller hosts the
-    workers time-slice and the spin-barrier overhead dominates.
-    """
-    if replicates > 1:
-        seeds = ReplicationPlan(spec.seed, replicates).seeds()
-        specs = [replace(spec, seed=s) for s in seeds]
-    else:
-        specs = [spec]
-    serial = [_timed_run(s, "array", repeats) for s in specs]
-    sharded = [_timed_run(s, "array", repeats, shard_workers=shards)
-               for s in specs]
-    identical = all(a[1] == b[1] for a, b in zip(serial, sharded))
-    st = [t for t, _ in serial]
-    ht = [t for t, _ in sharded]
-    st_agg = aggregate_values(st)
-    ht_agg = aggregate_values(ht)
-    sp_agg = aggregate_values([a / b for a, b in zip(st, ht)])
-    return {
-        "spec": spec.to_dict(),
-        "replicates": len(specs),
-        "shards": shards,
-        "cpu_gate": (os.cpu_count() or 1) >= shards,
-        "serial_s": round(st_agg["mean"], 4),
-        "serial_s_sd": round(st_agg["stddev"], 4),
-        "sharded_s": round(ht_agg["mean"], 4),
-        "sharded_s_sd": round(ht_agg["stddev"], 4),
-        "speedup_shard": round(sp_agg["mean"], 2),
-        "speedup_shard_sd": round(sp_agg["stddev"], 2),
-        "identical_summaries": identical,
-        "flits_moved": serial[0][1].flits_moved,
-        "saturated": serial[0][1].saturated,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -330,19 +258,6 @@ def test_saturation_speedup_and_equivalence():
     assert result["speedup_array"] >= 2.0, result
 
 
-def test_large_n_sharded_equivalence():
-    """The sharded-engine contract: byte-identical merged summary on a
-    saturated 256-node run.  The wall-clock floor applies only when the
-    host has enough cores for the shards to actually run in parallel
-    (and even then pytest uses a loose floor -- the 2x acceptance floor
-    is enforced by the full script run)."""
-    _name, spec = LARGE_N_WORKLOADS[0]
-    result = compare_sharded(_smoke_spec(spec), repeats=1)
-    assert result["identical_summaries"], result
-    if result["cpu_gate"]:
-        assert result["speedup_shard"] >= 1.2, result
-
-
 # ----------------------------------------------------------------------
 # script / CI entry point
 # ----------------------------------------------------------------------
@@ -380,8 +295,6 @@ def main(argv=None) -> int:
                     else ACTIVE_LOW_LOAD_FLOOR_FULL)
     array_floor = (ARRAY_SAT_FLOOR_SMOKE if args.smoke
                    else ARRAY_SAT_FLOOR_FULL)
-    shard_floor = (SHARD_SAT_FLOOR_SMOKE if args.smoke
-                   else SHARD_SAT_FLOOR_FULL)
     if args.baseline:
         with open(args.baseline) as fh:
             baseline = json.load(fh)
@@ -396,9 +309,6 @@ def main(argv=None) -> int:
             return 2
         active_floor = baseline["speedup_floor_low_load_active"]
         array_floor = baseline["speedup_floor_saturation_array"]
-        # older baselines predate the large_n band; keep the built-in
-        shard_floor = baseline.get("speedup_floor_large_n_shard",
-                                   shard_floor)
         if args.smoke:
             # the baseline records full-mode floors; smoke horizons are
             # 5x shorter and CI machines noisy, so apply the same
@@ -407,21 +317,16 @@ def main(argv=None) -> int:
                                  / ACTIVE_LOW_LOAD_FLOOR_FULL, 2)
             array_floor = round(array_floor * ARRAY_SAT_FLOOR_SMOKE
                                 / ARRAY_SAT_FLOOR_FULL, 2)
-            shard_floor = round(shard_floor * SHARD_SAT_FLOOR_SMOKE
-                                / SHARD_SAT_FLOOR_FULL, 2)
         print(f"[baseline] {args.baseline}: gating at "
               f"active >= {active_floor}x (low load), "
-              f"array >= {array_floor}x (saturation), "
-              f"sharded >= {shard_floor}x (large_n, cpu-gated)")
+              f"array >= {array_floor}x (saturation)")
     report = {
         "bench": "sim_speed",
         "mode": "smoke" if args.smoke else "full",
         "backends": sorted(BACKENDS),
         "replicates": replicates,
-        "shard_workers": SHARD_WORKERS,
         "speedup_floor_low_load_active": active_floor,
         "speedup_floor_saturation_array": array_floor,
-        "speedup_floor_large_n_shard": shard_floor,
         "workloads": {},
     }
     failures = []
@@ -458,36 +363,6 @@ def main(argv=None) -> int:
                 failures.append(
                     f"{name}: array speedup {result['speedup_array']}x "
                     f"below {array_floor}x saturation floor")
-    shard_speedups: List[float] = []
-    shard_gated = True
-    for name, spec in LARGE_N_WORKLOADS:
-        if args.smoke:
-            spec = _smoke_spec(spec)
-        result = compare_sharded(spec, repeats=repeats,
-                                 replicates=replicates)
-        result["band"] = "large_n"
-        report["workloads"][name] = result
-        note = ("" if result["cpu_gate"] else
-                f"  [floor skipped: host has < {SHARD_WORKERS} cores]")
-        print(f"{name:24s} serial {result['serial_s']:7.3f}s "
-              f"±{result['serial_s_sd']:.3f}  "
-              f"shard x{SHARD_WORKERS} {result['speedup_shard']:5.2f}x "
-              f"±{result['speedup_shard_sd']:.2f}  "
-              f"identical={result['identical_summaries']}{note}")
-        if not result["identical_summaries"]:
-            failures.append(
-                f"{name}: sharded summary differs from serial")
-        if not result["saturated"]:
-            failures.append(
-                f"{name}: workload no longer saturates (retune the "
-                f"injection rate)")
-        shard_speedups.append(result["speedup_shard"])
-        shard_gated = shard_gated and result["cpu_gate"]
-        if result["cpu_gate"] and result["speedup_shard"] < shard_floor:
-            failures.append(
-                f"{name}: sharded speedup {result['speedup_shard']}x "
-                f"below {shard_floor}x large_n floor "
-                f"({SHARD_WORKERS} shards)")
     report["best_saturation_speedup_array"] = max(
         sat_speedups.values(), default=0.0)
     report["worst_saturation_speedup_array"] = min(
@@ -507,12 +382,6 @@ def main(argv=None) -> int:
         report["speedup_floor_saturation_array"] = max(
             ARRAY_SAT_FLOOR_FULL,
             round(0.7 * report["worst_saturation_speedup_array"], 2))
-        if shard_gated and shard_speedups:
-            # only ratchet from a host that actually ran the shards in
-            # parallel; an oversubscribed host's ratio is noise
-            report["speedup_floor_large_n_shard"] = max(
-                SHARD_SAT_FLOOR_FULL,
-                round(0.7 * min(shard_speedups), 2))
 
     if args.json:
         with open(args.json, "w") as fh:

@@ -126,8 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cycles", type=int, default=8000)
         sp.add_argument("--warmup", type=int, default=2000)
 
-    def add_engine_args(sp, workers=True, replicates=False,
-                        shard=False):
+    def add_engine_args(sp, workers=True, replicates=False):
         sp.add_argument("--backend", choices=sorted(BACKENDS),
                         default="reference",
                         help="simulation engine, identical results: "
@@ -140,26 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(rate point x seed) cell grid -- one "
                                  "whole run per process (default: "
                                  "serial; results identical for any "
-                                 "worker count).  To split a single "
-                                 "run spatially, see --shard-workers")
+                                 "worker count)")
         if replicates:
             sp.add_argument("--replicates", type=_positive_int,
                             default=1,
                             help="independent seeds per point, spawned "
                                  "from --seed; > 1 reports mean / "
                                  "stddev / 95%% CI per metric")
-        if shard:
-            sp.add_argument("--shard-workers", type=_positive_int,
-                            default=1,
-                            help="spatial domain decomposition: split "
-                                 "each single run across N processes, "
-                                 "one contiguous shard of the network "
-                                 "each, with shared-memory halo "
-                                 "exchange (requires --backend array; "
-                                 "summaries byte-identical to "
-                                 "--shard-workers 1).  Orthogonal to "
-                                 "--workers, which parallelises across "
-                                 "whole runs; the two compose")
 
     def add_obs_args(sp, metrics=True):
         sp.add_argument("--probe", action="append", default=None,
@@ -212,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="latency/load sweep with ASCII plot")
     add_net_args(sp, kinds=False)
-    add_engine_args(sp, replicates=True, shard=True)
+    add_engine_args(sp, replicates=True)
     add_workload_args(sp)
     add_obs_args(sp, metrics=False)
     sp.add_argument("--points", type=int, default=5)
@@ -222,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                        ("point", "one simulation point (alias of run)")):
         sp = sub.add_parser(cmd, help=help_)
         add_net_args(sp)
-        add_engine_args(sp, replicates=True, shard=True)
+        add_engine_args(sp, replicates=True)
         add_workload_args(sp)
         add_obs_args(sp)
         sp.add_argument("--rate", type=float, default=None,
@@ -354,8 +340,6 @@ def _render_point_obs(session, summary, args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if _shard_usage_error(args):
-        return 2
     if args.workload:
         # multi-class sweeps scale every class rate together: the rate
         # axis is a multiplier around the scenario's native rates
@@ -381,8 +365,7 @@ def _cmd_sweep(args) -> int:
                                replicates=args.replicates,
                                pattern=args.pattern, arrival=args.arrival,
                                workload=args.workload, faults=args.faults,
-                               obs=obs, progress=progress_cb,
-                               shard_workers=args.shard_workers)
+                               obs=obs, progress=progress_cb)
     rows = latency_rows(results, label)
     if args.replicates > 1:
         columns = ["noc", "rate", "unicast_lat", "unicast_ci95",
@@ -433,24 +416,9 @@ def _print_class_table(summary) -> None:
         print(format_table(rows))
 
 
-def _shard_usage_error(args) -> bool:
-    """--shard-workers needs the array engine; fail with usage guidance
-    rather than a deep ValueError (or, worse, a silent fallback)."""
-    if args.shard_workers > 1 and args.backend != "array":
-        print(f"error: --shard-workers requires --backend array (got "
-              f"--backend {args.backend}); spatial sharding splits the "
-              f"flat array state, which other engines do not have.  "
-              f"Use --workers to parallelise across replicate runs "
-              f"instead", file=sys.stderr)
-        return True
-    return False
-
-
 def _cmd_point(args) -> int:
     rate = _resolve_rate(args)
     if rate is None:
-        return 2
-    if _shard_usage_error(args):
         return 2
     from repro.obs import obs_from_args
     obs = obs_from_args(args)
@@ -473,15 +441,9 @@ def _cmd_point(args) -> int:
                   file=sys.stderr)
             return 2
         return _run_replicated_point(spec, args)
-    if obs is None and args.shard_workers == 1:
-        s = run_point(spec, backend=args.backend)
-        print(format_table([s.row()]))
-        _print_class_table(s)
-        return 0
     from repro.sim.session import RunConfig, SimulationSession
     session = SimulationSession(
-        RunConfig(spec=spec, backend=args.backend, obs=obs,
-                  shard_workers=args.shard_workers))
+        RunConfig(spec=spec, backend=args.backend, obs=obs))
     s = session.run()
     print(format_table([s.row()]))
     _print_class_table(s)
@@ -502,10 +464,9 @@ def _run_replicated_point(spec: WorkloadSpec, args) -> int:
         from repro.obs.progress import cell_progress
         engine = ExecutionEngine(args.workers,
                                  progress=cell_progress(label="replicates"))
-    rs = run_replicated(
-        RunConfig(spec=spec, backend=args.backend,
-                  shard_workers=getattr(args, "shard_workers", 1)),
-        args.replicates, workers=args.workers, engine=engine)
+    rs = run_replicated(RunConfig(spec=spec, backend=args.backend),
+                        args.replicates, workers=args.workers,
+                        engine=engine)
     print(format_table([rs.row()]))
     uni = rs.metric("unicast_mean")
     print(f"unicast latency: {format_mean_ci(uni.mean, uni.ci_half_width)}"

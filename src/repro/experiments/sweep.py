@@ -165,8 +165,7 @@ def compare_networks(n: int, msg_len: int, beta: float,
                      workers: int = 1, pattern: str = "uniform",
                      arrival: str = "bernoulli", workload: str = "",
                      faults: str = "", replicates: int = 1, obs=None,
-                     progress: Optional[Callable[[int, int], None]] = None,
-                     shard_workers: int = 1
+                     progress: Optional[Callable[[int, int], None]] = None
                      ) -> Dict[str, List[SweepSummary]]:
     """The paper's core comparison at one (N, M, beta) configuration.
 
@@ -195,10 +194,6 @@ def compare_networks(n: int, msg_len: int, beta: float,
         if verbose:  # pragma: no cover
             print(f"[{kind}] N={n} M={msg_len} beta={beta:g}")
         kwargs = {"obs": obs} if obs is not None else {}
-        if shard_workers > 1:
-            # spatial decomposition of every cell's single run
-            # (repro.sim.shard); orthogonal to the pool's ``workers``
-            kwargs["shard_workers"] = shard_workers
         results[kind] = sweep_rates(spec, rates, verbose=verbose,
                                     backend=backend, workers=workers,
                                     replicates=replicates,

@@ -13,15 +13,16 @@ paper used for its flit-level simulator).  It provides:
 * :mod:`repro.sim.records` -- light-weight record types for latency
   samples and simulation summaries.
 * :mod:`repro.sim.backend` -- pluggable cycle-execution engines: the
-  reference semantics and the active-set fast path (see README.md in
-  this directory).
+  reference semantics, the active-set fast path and the array engine
+  (:mod:`repro.sim.array_backend`, flat numpy state advanced by a C
+  cycle kernel; see README.md in this directory).
 * :mod:`repro.sim.session` -- :class:`RunConfig` / ``SimulationSession``,
   the single entry point experiments, benchmarks and the CLI run through.
   (Not imported here: it builds on :mod:`repro.core`, which itself
   imports this package -- import it as ``repro.sim.session``.)
 * :mod:`repro.sim.replication` -- multi-seed replication:
-  ``ReplicationPlan`` (seed spawning), ``ExecutionEngine``
-  (process-sharded work units with deterministic ordering) and
+  ``ReplicationPlan`` (seed spawning), ``ExecutionEngine`` (work
+  units spread over a process pool with deterministic ordering) and
   ``ReplicatedSummary`` (mean / stddev / 95% CI per metric).  (Also not
   imported here, for the same layering reason -- import it as
   ``repro.sim.replication``.)

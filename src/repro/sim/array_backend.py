@@ -90,9 +90,7 @@ Escape hatch
 ``REPRO_ARRAY_FALLBACK=1`` (or any port with ``vcs != 2``) keeps the
 engine in object mode: no adoption, ``step`` delegates to
 ``Network.step``.  ``REPRO_ARRAY_CKERNEL=0`` disables the compiled
-cycle kernel (numpy paths only).  ``REPRO_ARRAY_JIT=1`` swaps the
-sort-based pick for a numba kernel when numba is importable, and
-silently no-ops when not.
+cycle kernel (numpy paths only).
 """
 
 from __future__ import annotations
@@ -125,37 +123,6 @@ _RING_CAP = 4096
 
 def _pow2_at_least(x: int) -> int:
     return 1 << max(0, (x - 1).bit_length())
-
-
-def _load_jit_pick():  # pragma: no cover - requires numba
-    """Compile the per-port min-priority pick with numba, or return
-    ``None`` (missing/failing numba leaves the numpy path in charge)."""
-    try:
-        import numba
-    except Exception:
-        return None
-    try:
-        @numba.njit(cache=False)
-        def pick(ep, prio, bestpr, bestat):
-            n = ep.shape[0]
-            for i in range(n):
-                p = ep[i]
-                pr = prio[i]
-                if bestpr[p] > pr:
-                    bestpr[p] = pr
-                    bestat[p] = i
-            k = 0
-            for p in range(bestpr.shape[0]):
-                if bestpr[p] < 64:
-                    bestat[k] = bestat[p]
-                    bestpr[p] = 64
-                    k += 1
-            return k
-        pick(np.zeros(1, np.int64), np.zeros(1, np.int64),
-             np.full(2, 64, np.int64), np.zeros(2, np.int64))
-        return pick
-    except Exception:
-        return None
 
 
 class ArrayBackend(SimBackend):
@@ -336,13 +303,6 @@ class ArrayBackend(SimBackend):
             getattr(ad, "unicast_via_collector", False)
             and getattr(ad, "collector", None) is not None for ad in a)
         self._acoll = [getattr(ad, "collector", None) for ad in a]
-
-        self._jit_pick = None
-        if os.environ.get("REPRO_ARRAY_JIT") == "1":  # pragma: no cover
-            self._jit_pick = _load_jit_pick()
-            if self._jit_pick is not None:
-                self._jit_bestpr = np.full(P, 64, np.int64)
-                self._jit_bestat = np.zeros(P, np.int64)
 
         # compiled cycle kernel (ckernel.py): phase A + phase B over the
         # same arrays, Python replays the event lists.  When it loads,
@@ -712,27 +672,18 @@ class ArrayBackend(SimBackend):
         rr = self._rr
         ep = want[ei]
         prio = (jof[ei] - rr[ep]) & self._Fm1
-        if self._jit_pick is not None:          # pragma: no cover - numba
-            # the compaction loop emits winners in ascending port order
-            # already -- the reference commit order; do not re-sort
-            k = self._jit_pick(ep, prio, self._jit_bestpr,
-                               self._jit_bestat)
-            wi = self._jit_bestat[:k].copy()
-            bwin = ei[wi]
-            pg = ep[wi]
-        else:
-            key = ((((ep << self._LF) | prio) << self._ESH)
-                   | self._arange[:ei.size])
-            key.sort()
-            kp = key >> self._LFESH
-            if key.size > 1:
-                mask = np.empty(kp.size, bool)
-                mask[0] = True
-                np.not_equal(kp[1:], kp[:-1], out=mask[1:])
-                key = key[mask]
-                kp = kp[mask]
-            bwin = ei[key & self._EMASK]
-            pg = kp
+        key = ((((ep << self._LF) | prio) << self._ESH)
+               | self._arange[:ei.size])
+        key.sort()
+        kp = key >> self._LFESH
+        if key.size > 1:
+            mask = np.empty(kp.size, bool)
+            mask[0] = True
+            np.not_equal(kp[1:], kp[:-1], out=mask[1:])
+            key = key[mask]
+            kp = kp[mask]
+        bwin = ei[key & self._EMASK]
+        pg = kp
         rr[pg] = jof[bwin] + 1
 
         # -- phase B: gathers against start-of-cycle state --------------

@@ -48,7 +48,8 @@ def _compile_and_load() -> Optional["ctypes._CFuncPtr"]:
     if not os.path.exists(lib):
         cc = os.environ.get("CC", "cc")
         # compile to a unique name, then atomically publish: concurrent
-        # test shards may race on the same cache entry
+        # processes (test workers, sweep pools) may race on the same
+        # cache entry
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=libdir)
         os.close(fd)
         try:

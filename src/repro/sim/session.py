@@ -11,8 +11,8 @@ and CLI command consumes.
 Before this layer existed the build/drive/summarise pipeline was
 duplicated (with slight drift) across ``cli.py``, ``experiments/latency``,
 ``experiments/sweep`` and the benchmarks; they now all call through here,
-which is also the seam future scaling work (sharding, batching, compiled
-kernels) plugs into: a new engine only has to implement the
+which is also the seam future scaling work (batching, compiled kernels)
+plugs into: a new engine only has to implement the
 :class:`~repro.sim.backend.SimBackend` protocol to serve every consumer.
 
 >>> from repro.sim.session import RunConfig, SimulationSession
@@ -55,22 +55,12 @@ class RunConfig:
     #: the default and the zero-overhead path -- installs nothing:
     #: no probe callbacks, no histogram bank, no profiler wrappers.
     obs: Optional[ObsSpec] = None
-    #: spatial domain decomposition: split *this one run* across
-    #: ``shard_workers`` processes, each owning a contiguous arc of the
-    #: network (``repro.sim.shard``).  Orthogonal to the replication
-    #: pool's ``workers`` axis, which shards *whole runs*.  Requires the
-    #: ``array`` backend; the merged summary is byte-identical to
-    #: ``shard_workers=1``.
-    shard_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown simulation backend {self.backend!r}; "
                 f"expected one of {sorted(BACKENDS)}")
-        if self.shard_workers < 1:
-            raise ValueError(
-                f"shard_workers must be >= 1 (got {self.shard_workers})")
 
     def with_backend(self, backend: str) -> "RunConfig":
         return replace(self, backend=backend)
@@ -99,11 +89,6 @@ _AXIS_RULES = (
      " replayed injections are fixed at their recorded cycles and cannot"
      " react to delivery feedback; drop the trace arrival, or record and"
      " replay the open-loop variant of the workload (window=0)"),
-    (lambda cfg, s: s._closedloop is not None and cfg.shard_workers > 1,
-     "closed-loop workloads cannot run sharded (shard_workers > 1): the"
-     " closed-loop engine needs the network's tail-delivery callback,"
-     " which the sharded engine does not transport across shard"
-     " boundaries; run with shard_workers=1 (any backend)"),
     (lambda cfg, s: s._closedloop is not None and bool(cfg.spec.faults),
      "closed-loop workloads cannot be combined with fault injection: a"
      " dropped request or reply would strand its window slot forever and"
@@ -229,9 +214,6 @@ class SimulationSession:
     # ------------------------------------------------------------------
     def run(self) -> RunSummary:
         """Run the configured horizon and return the summary."""
-        if self.config.shard_workers > 1:
-            from repro.sim.shard.runner import run_sharded
-            return run_sharded(self)
         spec = self.config.spec
         mid = spec.warmup + (spec.cycles - spec.warmup) // 2
         # fault events for cycle T land as a probe after step(T-1) --

@@ -60,29 +60,6 @@ class Topology:
             g.add_edge(ch.src, ch.dst, kind=ch.kind)
         return g
 
-    # -- spatial decomposition -----------------------------------------
-    def partition(self, shards: int) -> List[Tuple[int, int]]:
-        """Contiguous node ranges ``[(lo, hi), ...]``, one per shard.
-
-        The sharded engine requires each shard to own a contiguous block
-        of node ids (node-major buffer/port layout makes contiguous node
-        ranges contiguous array column ranges).  The default splits the
-        id space into ``shards`` arcs whose sizes differ by at most one;
-        subclasses override with topology-aware cuts (quarc quadrants,
-        mesh/torus row bands) that minimise cut links.
-        """
-        if not 1 <= shards <= self.n:
-            raise ValueError(
-                f"shards must be in [1, n={self.n}] (got {shards})")
-        base, extra = divmod(self.n, shards)
-        ranges = []
-        lo = 0
-        for k in range(shards):
-            hi = lo + base + (1 if k < extra else 0)
-            ranges.append((lo, hi))
-            lo = hi
-        return ranges
-
     # -- routing --------------------------------------------------------
     def path(self, src: int, dst: int) -> List[int]:
         """The deterministic route as a node sequence ``[src, ..., dst]``."""

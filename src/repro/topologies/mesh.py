@@ -53,28 +53,6 @@ class MeshTopology(Topology):
                 chans.append(Channel(node, self.node_at(r - 1, c), "north"))
         return chans
 
-    # -- spatial decomposition -----------------------------------------
-    def partition(self, shards: int) -> List[Tuple[int, int]]:
-        """Row bands: rows split as evenly as possible.
-
-        Row-major node ids make row bands contiguous id ranges, and a
-        horizontal cut crosses only the north/south links of one row
-        boundary.  Falls back to even arcs when ``shards > rows``.
-        """
-        if not 1 <= shards <= self.n:
-            raise ValueError(
-                f"shards must be in [1, n={self.n}] (got {shards})")
-        if shards > self.rows:
-            return super().partition(shards)
-        base, extra = divmod(self.rows, shards)
-        ranges = []
-        row = 0
-        for k in range(shards):
-            top = row + base + (1 if k < extra else 0)
-            ranges.append((row * self.cols, top * self.cols))
-            row = top
-        return ranges
-
     # -- XY routing -----------------------------------------------------
     def path(self, src: int, dst: int) -> List[int]:
         self.validate_pair(src, dst)

@@ -28,7 +28,7 @@ destination is the *last node of the branch*; intermediate switches clone
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.topologies.base import Channel, Topology
 from repro.topologies.ring import cw_dist
@@ -69,22 +69,6 @@ class QuarcTopology(Topology):
 
     def antipode(self, node: int) -> int:
         return (node + self.n // 2) % self.n
-
-    def partition(self, shards: int) -> List[Tuple[int, int]]:
-        """Quadrant-aligned shard ranges.
-
-        ``shards == 4`` gives the natural quadrant arcs ``[k*q, (k+1)*q)``
-        (each rim cut crosses exactly one cw + one ccw link; the doubled
-        spokes always span shards regardless of the cut).  ``shards == 2``
-        gives the two halves.  Other counts fall back to even arcs.
-        """
-        if shards == 4:
-            q = self.q
-            return [(k * q, (k + 1) * q) for k in range(4)]
-        if shards == 2:
-            half = self.n // 2
-            return [(0, half), (half, self.n)]
-        return super().partition(shards)
 
     # -- quadrant calculator (the transceiver's routing act, Sec. 2.4) ---
     def quadrant(self, src: int, dst: int) -> str:

@@ -45,27 +45,6 @@ class TorusTopology(Topology):
             chans.append(Channel(node, self.node_at(r - 1, c), "north"))
         return chans
 
-    def partition(self, shards: int) -> List[Tuple[int, int]]:
-        """Row bands (see :meth:`MeshTopology.partition`).
-
-        The torus wraps vertically, so every band additionally cuts the
-        wrap-around links between the first and last rows; the cut-link
-        table accounts for them.
-        """
-        if not 1 <= shards <= self.n:
-            raise ValueError(
-                f"shards must be in [1, n={self.n}] (got {shards})")
-        if shards > self.rows:
-            return super().partition(shards)
-        base, extra = divmod(self.rows, shards)
-        ranges = []
-        row = 0
-        for k in range(shards):
-            top = row + base + (1 if k < extra else 0)
-            ranges.append((row * self.cols, top * self.cols))
-            row = top
-        return ranges
-
     @staticmethod
     def _ring_steps(frm: int, to: int, size: int) -> int:
         """Signed shortest steps on a ring; ties break positive."""

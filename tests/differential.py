@@ -44,9 +44,8 @@ from repro.sim.session import RunConfig, SimulationSession
 from repro.traffic.workload import WorkloadSpec
 
 __all__ = ["Divergence", "make_config", "run_summaries", "find_divergence",
-           "find_shard_divergence", "random_configs",
-           "assert_backends_equivalent", "multicast_burst_inject",
-           "targeted_configs"]
+           "random_configs", "assert_backends_equivalent",
+           "multicast_burst_inject", "targeted_configs"]
 
 
 def make_config(kind: str = "quarc", n: int = 8, msg_len: int = 4,
@@ -79,28 +78,17 @@ def run_summaries(config: RunConfig,
 # ----------------------------------------------------------------------
 @dataclass
 class Divergence:
-    """First cycle where two backends' network states disagree.
-
-    For sharded runs (:func:`find_shard_divergence`) the mismatch is
-    additionally localised: ``shard`` names the shard whose *owned*
-    state slice disagrees with the serial engine, and ``halo_cycle`` is
-    the wall cycle whose halo apply exposed it (the sharded invariant is
-    post-apply-at-``t`` == serial post-step-at-``t - 1``)."""
+    """First cycle where two backends' network states disagree."""
 
     backend_a: str
     backend_b: str
     cycle: int                     # the cycle whose step diverged
     diffs: List[str] = field(default_factory=list)  # human-readable lines
     faults: str = ""               # the config's fault plan, if any
-    shard: Optional[int] = None    # owning shard (sharded runs only)
-    halo_cycle: Optional[int] = None  # wall cycle of the exposing apply
 
     def report(self, limit: int = 40) -> str:
         head = (f"backends {self.backend_a!r} vs {self.backend_b!r} "
                 f"diverge after stepping cycle {self.cycle}")
-        if self.shard is not None:
-            head += (f" [owned by shard {self.shard}, seen at halo "
-                     f"cycle {self.halo_cycle}]")
         if self.faults:
             head += f" [faults: {self.faults}]"
         body = self.diffs[:limit]
@@ -179,103 +167,6 @@ def find_divergence(config: RunConfig, backend_a: str, backend_b: str,
                 return div
             t += 1
     finally:
-        for s in sessions:
-            s.backend.detach()
-    return None
-
-
-# ----------------------------------------------------------------------
-# sharded-run divergence search
-# ----------------------------------------------------------------------
-def _shard_state(snap: Dict[str, object], plan,
-                 w: int) -> Dict[str, object]:
-    """Filter a :meth:`state_snapshot` down to shard ``w``'s owned
-    routers.  Buffer and port keys both embed the node
-    (``r{node}.{name}``); the global counters (cycle / flits_moved /
-    deliveries) are dropped because each shard only counts local
-    work."""
-    owner = plan.node_owner
-
-    def owned(key: str) -> bool:
-        return owner[int(key[1:key.index(".")])] == w
-
-    return {
-        "buffers": {k: v for k, v in snap["buffers"].items()
-                    if owned(k)},
-        "ports": {k: v for k, v in snap["ports"].items() if owned(k)},
-    }
-
-
-def find_shard_divergence(config: RunConfig, shards: int,
-                          cycles: Optional[int] = None
-                          ) -> Optional[Divergence]:
-    """Drive an in-process sharded run against a serial array run and
-    return the first per-shard divergence.
-
-    The sharded engine's core invariant is *post-apply equivalence*:
-    once a shard has applied the halo records it received at wall cycle
-    ``t``, its owned slice of network state equals the serial engine's
-    state after stepping cycle ``t - 1`` (``src/repro/sim/README.md``).
-    This harness checks exactly that, every cycle, for every shard --
-    via the worker's ``on_applied`` debug seam -- so a halo-protocol
-    bug is localised to one shard and one exchange (the returned
-    :class:`Divergence` names the owning shard and the halo cycle)
-    instead of surfacing as a slightly different end-of-run summary.
-    """
-    from repro.sim.shard.partition import make_plan
-    from repro.sim.shard.transport import InprocTransport
-    from repro.sim.shard.worker import ShardWorker
-
-    config = config.with_backend("array")
-    serial = SimulationSession(config)
-    sessions = [SimulationSession(config) for _ in range(shards)]
-    plan = make_plan(sessions[0].net, sessions[0].topo,
-                     sessions[0].backend, shards)
-    transport = InprocTransport(plan)
-    workers = [ShardWorker(s, plan, w, transport, probes={})
-               for w, s in enumerate(sessions)]
-    horizon = min(cycles if cycles is not None else config.spec.cycles,
-                  config.spec.cycles)
-    label_b = f"array[shards={shards}]"
-    serial_views: List[Dict[str, object]] = []
-    found: List[Divergence] = []
-
-    def check(worker: ShardWorker, t: int) -> None:
-        if found:
-            return
-        view = _shard_state(worker.net.state_snapshot(), plan, worker.w)
-        diffs = _diff_state(serial_views[worker.w], view)
-        if diffs:
-            found.append(Divergence(
-                "array", label_b, t - 1, diffs,
-                faults=config.spec.faults,
-                shard=worker.w, halo_cycle=t))
-
-    for wk in workers:
-        wk.on_applied = check
-    try:
-        for t in range(horizon + 1):
-            # serial is post-step(t - 1) here, which is what each
-            # shard's post-apply state at wall cycle t must match
-            snap = serial.net.state_snapshot()
-            serial_views[:] = [_shard_state(snap, plan, w)
-                               for w in range(shards)]
-            if t < horizon:
-                for wk in workers:
-                    wk.do_cycle(t)      # fires on_applied post-apply
-            else:
-                # final halo: apply cycle horizon-1's cut flits
-                # directly (finish() would also fire probes/profiler)
-                for wk in workers:
-                    wk._apply(transport.recv(wk.w, t))
-                    check(wk, t)
-            if found:
-                return found[0]
-            if t < horizon:
-                serial.mix.generate(t)
-                serial.backend.step(t)
-    finally:
-        serial.backend.detach()
         for s in sessions:
             s.backend.detach()
     return None

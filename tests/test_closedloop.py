@@ -276,12 +276,6 @@ class TestAxisValidation:
         with pytest.raises(ValueError, match="trace"):
             SimulationSession(RunConfig(spec=spec))
 
-    def test_closed_loop_rejects_sharding(self):
-        spec = closed_spec()
-        with pytest.raises(ValueError, match="shard"):
-            SimulationSession(RunConfig(spec=spec, backend="array",
-                                        shard_workers=2))
-
     def test_closed_loop_rejects_faults(self):
         spec = closed_spec(faults="links:down=1@cycle=100")
         with pytest.raises(ValueError, match="fault"):
